@@ -12,7 +12,7 @@
 
 use std::io::Write;
 
-use candle_bench::emit::escape;
+use collectives::escape_json as escape;
 
 fn main() {
     let mut out_path = String::from("BENCH_INDEX.json");

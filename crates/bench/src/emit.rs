@@ -11,6 +11,7 @@
 //! `perfmodel::ingest`; this writer and that parser are pinned to each
 //! other by round-trip tests.
 
+use collectives::escape_json as escape;
 use std::io::Write as _;
 
 /// Host identity recorded in every emitted document, so fitted models and
@@ -239,20 +240,6 @@ fn num_map(pairs: &[(String, f64)]) -> String {
         .map(|(k, v)| format!("\"{}\": {}", escape(k), num(*v)))
         .collect();
     format!("{{{}}}", body.join(", "))
-}
-
-/// JSON string escaping (quotes, backslashes, control characters).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The `--quick` / `--out PATH` argument convention every bin shares.

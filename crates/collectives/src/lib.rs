@@ -44,7 +44,7 @@ pub use hierarchical::hierarchical_allreduce;
 pub use optimizer::DistributedOptimizer;
 pub use overlap::{AsyncBucketedOptimizer, OverlapStats};
 pub use ring::{naive_allreduce, ring_allreduce};
-pub use timeline::{Timeline, TimelineEvent};
+pub use timeline::{escape_json, Timeline, TimelineEvent};
 pub use world::{broadcast_parameters, run_workers, run_workers_owned};
 
 /// Errors from collective operations.

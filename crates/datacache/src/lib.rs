@@ -16,10 +16,9 @@
 //!   directly.
 //! * [`store`] — [`CacheStore`]: the cold/warm decision, shard writing and
 //!   verified reloading, per-rank shard assignment.
-//! * [`prefetch`] — [`Prefetcher`]: a double-buffered background loader on
-//!   [`parx::WorkerPool`] that decodes shard *k+1* while the consumer works
-//!   on shard *k*, exposing ready [`tensor::Tensor`] batches plus
-//!   hit/wait counters.
+//! * [`prefetch`] — [`Prefetcher`]: a [`parx::Lookahead`] that decodes
+//!   shard *k+1* while the consumer works on shard *k*, exposing decoded
+//!   frames plus hit/wait counters.
 
 pub mod format;
 pub mod manifest;

@@ -2,26 +2,24 @@
 //! consumer is busy with shard *k*.
 //!
 //! The related work's data-loading pipelines overlap ingest with compute;
-//! here that is a [`Prefetcher`] holding a small [`parx::WorkerPool`] and a
-//! bounded look-ahead window (`depth`, default 2 — double buffering). The
-//! iterator yields shards strictly in order with their training-ready
-//! [`Tensor`] view, and counts how often the next shard was already decoded
-//! (`ready_hits`) versus how long the consumer had to block (`waits`,
-//! `wait_time`) — the numbers the pipeline's phase profile reports.
+//! here that is a [`Prefetcher`]: a [`parx::Lookahead`] over shard
+//! decodes on its own two-thread [`parx::WorkerPool`], double-buffered.
+//! The iterator yields shards strictly in order and counts how often the
+//! next shard was already decoded (`ready_hits`) versus how long the
+//! consumer had to block (`waits`, `wait_time`) — the numbers the
+//! pipeline's phase profile reports.
 
 use crate::store::CachedDataset;
 use crate::CacheError;
 use dataio::Frame;
-use parx::WorkerPool;
-use std::collections::HashMap;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use parx::{Lookahead, WorkerPool};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use tensor::Tensor;
 
-/// Look-ahead window used by the convenience constructors: decode one
-/// shard ahead of the consumer (double buffering).
-pub const DEFAULT_DEPTH: usize = 2;
+/// Decode threads per prefetcher.
+const PREFETCH_THREADS: usize = 2;
+
+/// Counters describing how well prefetching hid decode latency.
+pub type PrefetchStats = parx::LookaheadStats;
 
 /// One decoded shard, ready for training.
 pub struct Prefetched {
@@ -31,222 +29,72 @@ pub struct Prefetched {
     pub start_row: usize,
     /// The decoded rows.
     pub frame: Frame,
-    /// Dense `[rows, cols]` f32 view of the shard.
-    pub tensor: Tensor,
 }
-
-/// Counters describing how well prefetching hid decode latency.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PrefetchStats {
-    /// Shards that were already decoded when the consumer asked.
-    pub ready_hits: usize,
-    /// Times the consumer had to block on an in-flight decode (stalls).
-    pub waits: usize,
-    /// Total time the consumer spent blocked, in nanoseconds.
-    pub wait_ns: u128,
-    /// Shards decoded by the background workers.
-    pub decoded: usize,
-    /// Configured look-ahead window (the queue-depth bound).
-    pub depth: usize,
-    /// High-water mark of decodes in flight at once; at most `depth`.
-    pub max_in_flight: usize,
-}
-
-impl PrefetchStats {
-    /// Total time the consumer spent blocked.
-    pub fn wait_time(&self) -> Duration {
-        Duration::from_nanos(self.wait_ns.min(u64::MAX as u128) as u64)
-    }
-
-    /// Fraction of consumer asks that stalled on an unfinished decode —
-    /// 0.0 means the look-ahead fully hid decode latency.
-    pub fn stall_fraction(&self) -> f64 {
-        let asks = self.ready_hits + self.waits;
-        if asks == 0 {
-            0.0
-        } else {
-            self.waits as f64 / asks as f64
-        }
-    }
-}
-
-type Slot = (usize, Result<Prefetched, CacheError>);
 
 /// An ordered, background-decoded iterator over a dataset's shards.
 pub struct Prefetcher {
-    dataset: Arc<CachedDataset>,
-    _pool: WorkerPool,
-    order: Vec<usize>,
-    /// Next position in `order` to hand to the consumer.
-    next_pos: usize,
-    /// Positions submitted to the pool so far.
-    submitted: usize,
-    /// Completions received back from the pool so far.
-    received: usize,
-    depth: usize,
-    tx: Sender<Slot>,
-    rx: Receiver<Slot>,
-    /// Out-of-order completions parked until their position comes up.
-    parked: HashMap<usize, Result<Prefetched, CacheError>>,
-    stats: PrefetchStats,
+    shards: Lookahead<Result<Prefetched, CacheError>>,
 }
 
 impl Prefetcher {
-    /// Prefetches the shard indices in `order` with `depth` decodes in
-    /// flight on `threads` pool workers.
-    ///
-    /// # Panics
-    /// Panics if `depth == 0` or `threads == 0`.
-    pub fn with_order(
-        dataset: Arc<CachedDataset>,
-        order: Vec<usize>,
-        depth: usize,
-        threads: usize,
-    ) -> Self {
-        assert!(depth > 0, "prefetch depth must be positive");
-        let (tx, rx) = channel();
-        let mut p = Self {
-            dataset,
-            _pool: WorkerPool::new(threads),
-            order,
-            next_pos: 0,
-            submitted: 0,
-            received: 0,
-            depth,
-            tx,
-            rx,
-            parked: HashMap::new(),
-            stats: PrefetchStats {
-                depth,
-                ..PrefetchStats::default()
-            },
-        };
-        p.fill_window();
-        p
+    /// Decodes the shard indices in `order`, double-buffered.
+    fn over(dataset: Arc<CachedDataset>, order: Vec<usize>) -> Self {
+        let pool = Arc::new(WorkerPool::new(PREFETCH_THREADS));
+        let shards = Lookahead::new(pool, order.len(), move |pos| {
+            let index = order[pos];
+            let frame = dataset.load_shard(index)?;
+            let start_row = dataset
+                .manifest()
+                .shards
+                .get(index)
+                .map_or(0, |s| s.start_row);
+            Ok(Prefetched {
+                index,
+                start_row,
+                frame,
+            })
+        });
+        Self { shards }
     }
 
-    /// Prefetches every shard in manifest order (double-buffered).
+    /// Prefetches every shard in manifest order.
     pub fn all(dataset: Arc<CachedDataset>) -> Self {
         let order: Vec<usize> = (0..dataset.nshards()).collect();
-        Self::with_order(dataset, order, DEFAULT_DEPTH, 2)
+        Self::over(dataset, order)
     }
 
-    /// Prefetches the shards assigned to `rank` of `nranks`
-    /// (double-buffered) — a rank's warm-start read stream.
+    /// Prefetches the shards assigned to `rank` of `nranks` — a rank's
+    /// warm-start read stream.
     pub fn for_rank(dataset: Arc<CachedDataset>, rank: usize, nranks: usize) -> Self {
         let order = dataset.rank_shards(rank, nranks);
-        Self::with_order(dataset, order, DEFAULT_DEPTH, 2)
+        Self::over(dataset, order)
     }
 
     /// Counters accumulated so far (final after the iterator is drained).
     pub fn stats(&self) -> PrefetchStats {
-        self.stats
+        self.shards.stats()
     }
 
     /// Shards this prefetcher will yield.
     pub fn len_total(&self) -> usize {
-        self.order.len()
+        self.shards.len_total()
     }
 
-    /// Decodes currently in flight on the background workers (submitted,
-    /// completion not yet received) — the live queue depth.
+    /// Decodes submitted but not yet yielded — the live queue depth.
     pub fn in_flight(&self) -> usize {
-        self.submitted - self.received
+        self.shards.in_flight()
     }
-
-    /// Keeps `depth` decodes in flight.
-    fn fill_window(&mut self) {
-        while self.submitted < self.order.len() && self.submitted < self.next_pos + self.depth {
-            let pos = self.submitted;
-            self.submitted += 1;
-            let shard_index = self.order[pos];
-            let dataset = Arc::clone(&self.dataset);
-            let tx = self.tx.clone();
-            self._pool.submit(move || {
-                let result = dataset.load_shard(shard_index).and_then(|frame| {
-                    let tensor =
-                        Tensor::from_vec([frame.nrows(), frame.ncols()], frame.to_f32_matrix())
-                            .map_err(|e| {
-                                CacheError::Corrupt(format!("shard tensor shape: {e:?}"))
-                            })?;
-                    Ok(Prefetched {
-                        index: shard_index,
-                        start_row: frame_start_row(&dataset, shard_index),
-                        frame,
-                        tensor,
-                    })
-                });
-                // The consumer may have been dropped mid-iteration; that
-                // just discards the decoded shard.
-                let _ = tx.send((pos, result));
-            });
-        }
-        self.stats.max_in_flight = self.stats.max_in_flight.max(self.in_flight());
-    }
-
-    /// Blocks until the completion for `pos` arrives, parking any
-    /// out-of-order completions received in the meantime.
-    fn wait_for(&mut self, pos: usize) -> Result<Prefetched, CacheError> {
-        loop {
-            if let Some(result) = self.parked.remove(&pos) {
-                return result;
-            }
-            let (got_pos, result) = self
-                .rx
-                .recv()
-                .expect("prefetch workers never hang up while tasks are in flight");
-            self.stats.decoded += 1;
-            self.received += 1;
-            if got_pos == pos {
-                return result;
-            }
-            self.parked.insert(got_pos, result);
-        }
-    }
-}
-
-fn frame_start_row(dataset: &CachedDataset, shard_index: usize) -> usize {
-    dataset
-        .manifest()
-        .shards
-        .get(shard_index)
-        .map(|s| s.start_row)
-        .unwrap_or(0)
 }
 
 impl Iterator for Prefetcher {
     type Item = Result<Prefetched, CacheError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.next_pos >= self.order.len() {
-            return None;
-        }
-        let pos = self.next_pos;
-        // Drain without blocking first: anything already decoded counts
-        // toward ready_hits when it covers the position we need.
-        while let Ok((got_pos, result)) = self.rx.try_recv() {
-            self.stats.decoded += 1;
-            self.received += 1;
-            self.parked.insert(got_pos, result);
-        }
-        let item = if let Some(result) = self.parked.remove(&pos) {
-            self.stats.ready_hits += 1;
-            result
-        } else {
-            let start = Instant::now();
-            let result = self.wait_for(pos);
-            self.stats.waits += 1;
-            self.stats.wait_ns += start.elapsed().as_nanos();
-            result
-        };
-        self.next_pos += 1;
-        self.fill_window();
-        Some(item)
+        self.shards.next()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.order.len() - self.next_pos;
-        (left, Some(left))
+        self.shards.size_hint()
     }
 }
 
@@ -255,11 +103,11 @@ mod tests {
     use super::*;
     use crate::store::CacheStore;
     use dataio::{generate, read_csv, write_csv_dataset, ClassSpec, ReadStrategy, SyntheticSpec};
-    use std::path::PathBuf;
+    use parx::TempDir;
+    use std::time::Duration;
 
-    fn cached_dataset(name: &str, rows: usize, nshards: usize) -> (PathBuf, Arc<CachedDataset>) {
-        let root = std::env::temp_dir().join(format!("datacache_pf_{name}_{}", std::process::id()));
-        std::fs::remove_dir_all(&root).ok();
+    fn cached_dataset(name: &str, rows: usize, nshards: usize) -> (TempDir, Arc<CachedDataset>) {
+        let root = TempDir::new(&format!("datacache_pf_{name}")).unwrap();
         std::fs::create_dir_all(root.join("src")).unwrap();
         let csv = root.join("src/data.csv");
         let spec = SyntheticSpec {
@@ -282,7 +130,7 @@ mod tests {
 
     #[test]
     fn yields_all_shards_in_order_and_matches_direct_load() {
-        let (root, ds) = cached_dataset("order", 90, 5);
+        let (_root, ds) = cached_dataset("order", 90, 5);
         let mut frames = Vec::new();
         let mut last_index = None;
         let pf = Prefetcher::all(Arc::clone(&ds));
@@ -291,22 +139,17 @@ mod tests {
             if let Some(prev) = last_index {
                 assert!(got.index > prev, "shards must arrive in order");
             }
-            assert_eq!(
-                got.tensor.shape().dims(),
-                &[got.frame.nrows(), got.frame.ncols()]
-            );
             last_index = Some(got.index);
             frames.push(got.frame);
         }
         assert_eq!(frames.len(), 5);
         let reassembled = Frame::concat(frames).unwrap();
         assert_eq!(reassembled, ds.load_all().unwrap());
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
     fn stats_account_for_every_shard() {
-        let (root, ds) = cached_dataset("stats", 60, 6);
+        let (_root, ds) = cached_dataset("stats", 60, 6);
         let mut pf = Prefetcher::all(Arc::clone(&ds));
         let mut n = 0;
         while let Some(item) = pf.next() {
@@ -318,24 +161,22 @@ mod tests {
         let stats = pf.stats();
         assert_eq!(n, 6);
         assert_eq!(stats.ready_hits + stats.waits, 6);
-        assert_eq!(stats.decoded, 6);
+        assert_eq!(stats.completed, 6);
         assert!(
             stats.ready_hits > 0,
             "a slow consumer should find prefetched shards ready: {stats:?}"
         );
-        assert_eq!(stats.depth, DEFAULT_DEPTH);
         assert!(
-            stats.max_in_flight >= 1 && stats.max_in_flight <= stats.depth,
+            stats.max_in_flight >= 1 && stats.max_in_flight <= parx::LOOKAHEAD_WINDOW,
             "in-flight high-water mark must stay inside the window: {stats:?}"
         );
         assert_eq!(pf.in_flight(), 0, "a drained prefetcher has nothing queued");
         assert!(stats.stall_fraction() <= 1.0);
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
     fn rank_streams_partition_the_dataset() {
-        let (root, ds) = cached_dataset("ranks", 80, 8);
+        let (_root, ds) = cached_dataset("ranks", 80, 8);
         let mut all_rows = 0;
         let mut seen_shards = Vec::new();
         for rank in 0..3 {
@@ -348,12 +189,11 @@ mod tests {
         seen_shards.sort_unstable();
         assert_eq!(seen_shards, (0..8).collect::<Vec<_>>());
         assert_eq!(all_rows, ds.nrows());
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
     fn corruption_surfaces_as_error_not_panic() {
-        let (root, ds) = cached_dataset("corrupt", 40, 4);
+        let (_root, ds) = cached_dataset("corrupt", 40, 4);
         // Corrupt shard 2 on disk after the manifest was loaded.
         let entry = &ds.manifest().shards[2];
         let path = ds.dir().join(&entry.file);
@@ -366,7 +206,6 @@ mod tests {
         assert_eq!(results.len(), 4);
         assert!(results[0].is_ok());
         assert!(results[2].is_err(), "corrupt shard must yield an error");
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
@@ -379,6 +218,5 @@ mod tests {
             .map(|r| r.unwrap().frame)
             .collect();
         assert_eq!(Frame::concat(frames).unwrap(), direct);
-        std::fs::remove_dir_all(&root).ok();
     }
 }

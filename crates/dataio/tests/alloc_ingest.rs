@@ -6,20 +6,36 @@
 //!
 //! Mirrors `dlframe/tests/alloc_hot_path.rs`: a counting global allocator
 //! wraps `System`, a warm-up phase establishes capacity, then the counter
-//! must not move across repeated steady-state passes.
+//! must not move across repeated steady-state passes. Counts are kept per
+//! thread, so tests running concurrently in this binary never see each
+//! other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Counts every allocation-path call (alloc / alloc_zeroed / realloc) and
-/// delegates to the system allocator. Deallocations are free and uncounted.
+/// Counts every allocation-path call (alloc / alloc_zeroed / realloc) on
+/// the calling thread and delegates to the system allocator.
+/// Deallocations are free and uncounted.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: a thread being torn down can allocate after its
+    // thread-locals are gone.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -28,12 +44,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(layout)
     }
 }
@@ -74,12 +90,12 @@ fn steady_state_turbo_parse_allocates_nothing() {
     assert_eq!(idx.rows(), 600);
     assert_eq!(columns.len(), 24);
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _ in 0..5 {
         scan(&bytes, &mut idx).unwrap();
         assert!(parse_into(&bytes, &idx, &mut columns, 1));
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,
@@ -95,7 +111,8 @@ fn steady_state_turbo_parse_allocates_nothing() {
 
 /// Multi-threaded parses pay a constant per-call cost (scoped thread
 /// spawns), never a per-row cost: octupling the row count must not grow
-/// the allocation count of a warm parse.
+/// the allocation count of a warm parse. The count covers the calling
+/// thread, which drives the parse and spawns its workers.
 #[test]
 fn parallel_parse_allocations_are_row_count_independent() {
     let count_warm_passes = |rows: usize, passes: usize| -> u64 {
@@ -104,12 +121,12 @@ fn parallel_parse_allocations_are_row_count_independent() {
         let mut columns: Vec<Vec<f64>> = Vec::new();
         scan(&bytes, &mut idx).unwrap();
         assert!(parse_into(&bytes, &idx, &mut columns, 4));
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = allocs();
         for _ in 0..passes {
             scan(&bytes, &mut idx).unwrap();
             assert!(parse_into(&bytes, &idx, &mut columns, 4));
         }
-        ALLOCS.load(Ordering::Relaxed) - before
+        allocs() - before
     };
     let small = count_warm_passes(500, 4);
     let big = count_warm_passes(4000, 4);

@@ -16,9 +16,9 @@
 //! * [`permute`] — [`EpochPermutation`]: the seeded `(job, epoch)` global
 //!   shuffle as a cycle-walking Feistel bijection over row indices — O(1)
 //!   space, no permutation vector ever materialized.
-//! * [`stream`] — [`EpochStream`]: ordered background batch assembly on
-//!   `parx` with bounded-queue backpressure, double-buffered like the
-//!   `datacache` prefetcher.
+//! * [`stream`] — [`EpochStream`]: ordered background batch assembly as a
+//!   [`parx::Lookahead`] on the shared worker pool — the same two-deep
+//!   look-ahead the `datacache` prefetcher runs over shard decodes.
 //!
 //! The load-bearing guarantee: a job's batch stream is **bit-identical**
 //! whether it runs alone or beside 31 neighbours, under any worker thread

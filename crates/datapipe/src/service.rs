@@ -45,9 +45,6 @@ pub struct ServiceConfig {
     pub threads: usize,
     /// Maximum concurrently admitted jobs.
     pub max_jobs: usize,
-    /// Bounded look-ahead per job stream: at most this many batches are
-    /// in flight or parked ahead of the consumer (backpressure).
-    pub queue_depth: usize,
 }
 
 impl ServiceConfig {
@@ -60,7 +57,6 @@ impl ServiceConfig {
             disk_budget_bytes: None,
             threads: 2,
             max_jobs: 64,
-            queue_depth: 2,
         }
     }
 }
@@ -354,7 +350,7 @@ impl DatasetService {
             });
         }
         // Minimum working set: a batch can straddle two shards, and the
-        // stream keeps `queue_depth` batches in flight — so the job needs
+        // stream keeps two batches in flight — so the job needs
         // at least two resident shards' worth of budget headroom.
         let needed = max_shard_bytes * 2;
         if needed > self.pool.budget_bytes() {
@@ -457,10 +453,6 @@ impl JobHandle {
             batches: c.batches.load(Ordering::Relaxed),
             rows: c.rows.load(Ordering::Relaxed),
         }
-    }
-
-    pub(crate) fn service(&self) -> &Arc<DatasetService> {
-        &self.service
     }
 
     pub(crate) fn dataset(&self) -> &Arc<CachedDataset> {

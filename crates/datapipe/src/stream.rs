@@ -1,12 +1,12 @@
 //! Per-job streaming epoch iterators with bounded-queue backpressure.
 //!
-//! An [`EpochStream`] yields a job's batches strictly in order while
-//! assembling up to `queue_depth` batches ahead on the service's shared
-//! [`parx::WorkerPool`] — the same double-buffering discipline as
-//! `datacache::Prefetcher`, lifted from shards to shuffled batches. The
-//! bounded window is the backpressure: a slow consumer never accumulates
-//! more than `queue_depth` assembled batches of memory, and a fast
-//! consumer's blocked time is counted per job (`waits`, `wait_ns`).
+//! An [`EpochStream`] is a [`parx::Lookahead`] over batch assembly on the
+//! service's shared [`parx::WorkerPool`] — the same look-ahead the
+//! `datacache::Prefetcher` runs over shard decodes. It yields a job's
+//! batches strictly in order with two assembled ahead. The bounded window
+//! is the backpressure: a slow consumer never accumulates more than two
+//! assembled batches of memory, and a fast consumer's blocked time is
+//! counted per job (`waits`, `wait_ns`).
 //!
 //! Batch contents are a pure function of `(dataset, seed, epoch, batch
 //! size)`: the gather order comes from the seeded Feistel permutation and
@@ -18,11 +18,9 @@ use crate::permute::EpochPermutation;
 use crate::pool::ShardLease;
 use crate::service::JobHandle;
 use datacache::CacheError;
-use std::collections::HashMap;
+use parx::{Lookahead, LookaheadStats};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use std::time::Instant;
 use tensor::Tensor;
 
 /// How an epoch walks the rows.
@@ -68,19 +66,12 @@ struct JobContext {
     shard_starts: Vec<usize>,
 }
 
-type Slot = (usize, Result<Batch, CacheError>);
-
 /// An ordered, background-assembled iterator over one job's epoch.
 pub struct EpochStream {
-    ctx: Arc<AssembleCtx>,
-    workers: Arc<parx::WorkerPool>,
-    total: usize,
-    next_pos: usize,
-    submitted: usize,
-    depth: usize,
-    tx: Sender<Slot>,
-    rx: Receiver<Slot>,
-    parked: HashMap<usize, Result<Batch, CacheError>>,
+    batches: Lookahead<Result<Batch, CacheError>>,
+    counters: Arc<crate::service::JobCounters>,
+    /// Look-ahead counters already added to `counters`.
+    reported: LookaheadStats,
 }
 
 impl EpochStream {
@@ -93,7 +84,7 @@ impl EpochStream {
                 Some(EpochPermutation::for_job_epoch(nrows, spec.seed, epoch))
             }
         };
-        let ctx = Arc::new(AssembleCtx {
+        let ctx = AssembleCtx {
             job: JobContext {
                 pool: Arc::clone(job.pool()),
                 dataset: Arc::clone(job.dataset()),
@@ -112,61 +103,20 @@ impl EpochStream {
                     .collect(),
             },
             perm,
-        });
-        let total = nrows.div_ceil(ctx.job.batch);
-        let (tx, rx) = channel();
-        let mut stream = Self {
-            ctx,
-            workers: Arc::clone(job.workers()),
-            total,
-            next_pos: 0,
-            submitted: 0,
-            depth: job.service().config().queue_depth.max(1),
-            tx,
-            rx,
-            parked: HashMap::new(),
         };
-        stream.fill_window();
-        stream
+        let total = nrows.div_ceil(ctx.job.batch);
+        Self {
+            batches: Lookahead::new(Arc::clone(job.workers()), total, move |pos| {
+                assemble(&ctx, pos)
+            }),
+            counters: Arc::clone(job.counters()),
+            reported: LookaheadStats::default(),
+        }
     }
 
     /// Batches this stream will yield.
     pub fn len_total(&self) -> usize {
-        self.total
-    }
-
-    /// Keeps `depth` assemblies in flight (the backpressure bound).
-    fn fill_window(&mut self) {
-        while self.submitted < self.total && self.submitted < self.next_pos + self.depth {
-            let pos = self.submitted;
-            self.submitted += 1;
-            let ctx = Arc::clone(&self.ctx);
-            let tx = self.tx.clone();
-            self.workers.submit(move || {
-                let result = assemble(&ctx, pos);
-                // The consumer may have been dropped mid-epoch; that just
-                // discards the assembled batch.
-                let _ = tx.send((pos, result));
-            });
-        }
-    }
-
-    /// Blocks until the completion for `pos` arrives, parking any
-    /// out-of-order completions received in the meantime.
-    fn wait_for(&mut self, pos: usize) -> Result<Batch, CacheError> {
-        loop {
-            if let Some(result) = self.parked.remove(&pos) {
-                return result;
-            }
-            let (got_pos, result) = self
-                .rx
-                .recv()
-                .expect("assembly workers never hang up while tasks are in flight");
-            if got_pos == pos {
-                return result;
-            }
-            self.parked.insert(got_pos, result);
-        }
+        self.batches.len_total()
     }
 }
 
@@ -174,39 +124,29 @@ impl Iterator for EpochStream {
     type Item = Result<Batch, CacheError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.next_pos >= self.total {
-            return None;
-        }
-        let pos = self.next_pos;
-        while let Ok((got_pos, result)) = self.rx.try_recv() {
-            self.parked.insert(got_pos, result);
-        }
-        let counters = Arc::clone(&self.ctx.job.counters);
-        let item = if let Some(result) = self.parked.remove(&pos) {
-            result
-        } else {
-            let start = Instant::now();
-            let result = self.wait_for(pos);
-            counters.waits.fetch_add(1, Ordering::Relaxed);
-            counters
-                .wait_ns
-                .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            result
-        };
+        let item = self.batches.next()?;
+        let stats = self.batches.stats();
+        let counters = &self.counters;
+        counters.waits.fetch_add(
+            (stats.waits - self.reported.waits) as u64,
+            Ordering::Relaxed,
+        );
+        counters.wait_ns.fetch_add(
+            (stats.wait_ns - self.reported.wait_ns) as u64,
+            Ordering::Relaxed,
+        );
+        self.reported = stats;
         if let Ok(batch) = &item {
             counters.batches.fetch_add(1, Ordering::Relaxed);
             counters
                 .rows
                 .fetch_add(batch.x.shape().dims()[0] as u64, Ordering::Relaxed);
         }
-        self.next_pos += 1;
-        self.fill_window();
         Some(item)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.total - self.next_pos;
-        (left, Some(left))
+        self.batches.size_hint()
     }
 }
 

@@ -4,20 +4,35 @@
 //!
 //! A counting global allocator wraps `System`; the test runs a warm-up
 //! phase, snapshots the allocation counter, trains three more epochs, and
-//! asserts the counter did not move.
+//! asserts the counter did not move. Counts are kept per thread, so other
+//! tests running concurrently in this binary cannot move the counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Counts every allocation-path call (alloc / alloc_zeroed / realloc) and
-/// delegates to the system allocator. Deallocations are free and uncounted.
+/// Counts every allocation-path call (alloc / alloc_zeroed / realloc) on
+/// the calling thread and delegates to the system allocator.
+/// Deallocations are free and uncounted.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: a thread being torn down can allocate after its
+    // thread-locals are gone.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -26,12 +41,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(layout)
     }
 }
@@ -88,14 +103,14 @@ fn train_batch_steady_state_allocates_nothing() {
             model.train_batch(&bx, &by, &mut sync).unwrap();
         }
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _ in 0..3 {
         for idx in &batches {
             data.batch_into(idx, &mut bx, &mut by);
             model.train_batch(&bx, &by, &mut sync).unwrap();
         }
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,

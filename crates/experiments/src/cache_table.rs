@@ -56,12 +56,7 @@ pub fn measure_cache_comparison(
     cols: usize,
     shards: usize,
 ) -> Option<CacheComparison> {
-    let dir = std::env::temp_dir().join(format!(
-        "candle_repro_cache_table_{}_{rows}x{cols}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).ok()?;
+    let dir = parx::TempDir::new("candle_repro_cache_table").ok()?;
     let csv = dir.join("data.csv");
     let spec = SyntheticSpec {
         rows,
@@ -104,7 +99,6 @@ pub fn measure_cache_comparison(
     let warm_prefetch_s = prefetch_start.elapsed().as_secs_f64();
     let prefetch_stats = pf.stats();
 
-    std::fs::remove_dir_all(&dir).ok();
     Some(CacheComparison {
         pandas_s: pandas_stats.elapsed.as_secs_f64(),
         pandas_mib_s: pandas_stats.throughput_mib_s(),
@@ -169,7 +163,7 @@ pub fn table_cache(quick: bool) -> Experiment {
                 c.prefetch_stats.ready_hits,
                 c.prefetch_stats.waits,
                 c.prefetch_stats.wait_time().as_secs_f64() * 1e3,
-                c.prefetch_stats.decoded,
+                c.prefetch_stats.completed,
             ));
         }
         None => text.push_str("  (temp dir unavailable; measured section skipped)\n"),
@@ -223,9 +217,9 @@ mod tests {
         );
         assert_eq!(
             c.prefetch_stats.ready_hits + c.prefetch_stats.waits,
-            c.prefetch_stats.decoded
+            c.prefetch_stats.completed
         );
-        assert_eq!(c.prefetch_stats.decoded, 4);
+        assert_eq!(c.prefetch_stats.completed, 4);
     }
 
     #[test]

@@ -42,14 +42,9 @@ impl IngestComparison {
 /// fast; the full mode matches the `table_cache` NT3 geometry.
 pub fn measure_ingest_comparison(quick: bool) -> Vec<IngestComparison> {
     let reps = if quick { 2 } else { 3 };
-    let dir = std::env::temp_dir().join(format!(
-        "candle_repro_ingest_table_{}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    if std::fs::create_dir_all(&dir).is_err() {
+    let Ok(dir) = parx::TempDir::new("candle_repro_ingest_table") else {
         return Vec::new();
-    }
+    };
     let geometries: Vec<(String, SyntheticSpec, bool)> = vec![
         (
             {
@@ -124,7 +119,6 @@ pub fn measure_ingest_comparison(quick: bool) -> Vec<IngestComparison> {
         }
         std::fs::remove_file(&path).ok();
     }
-    std::fs::remove_dir_all(&dir).ok();
     out
 }
 

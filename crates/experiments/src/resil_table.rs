@@ -17,9 +17,11 @@
 
 use crate::report::{format_table, secs, Experiment};
 use cluster::calib::Bench;
+use parx::TempDir;
 use resil::{run_resilient, summit_recovery_sweep, FaultEvent, FaultKind, FaultPlan, ResilSpec};
+use std::path::Path;
 
-fn measured_spec(name: &str, epochs: usize, plan: FaultPlan) -> ResilSpec {
+fn measured_spec(dir: &Path, epochs: usize, plan: FaultPlan) -> ResilSpec {
     ResilSpec {
         bench: Bench::Nt3,
         workers: 2,
@@ -30,7 +32,7 @@ fn measured_spec(name: &str, epochs: usize, plan: FaultPlan) -> ResilSpec {
         seed: 2025,
         checkpoint_every: 2,
         keep: 2,
-        dir: std::env::temp_dir().join(format!("table_resil_{name}_{}", std::process::id())),
+        dir: dir.to_path_buf(),
         plan,
         record_timeline: false,
     }
@@ -48,9 +50,11 @@ pub fn table_resil(quick: bool) -> Experiment {
     // Crash one epoch past the last checkpoint: one epoch of work is lost
     // and must be re-trained after the restore.
     let crash_epoch = 3;
-    let healthy = measured_spec("healthy", epochs, FaultPlan::none());
+    let healthy_dir = TempDir::new("table_resil_healthy").expect("temp dir");
+    let faulted_dir = TempDir::new("table_resil_faulted").expect("temp dir");
+    let healthy = measured_spec(&healthy_dir, epochs, FaultPlan::none());
     let faulted = measured_spec(
-        "faulted",
+        &faulted_dir,
         epochs,
         FaultPlan::manual(vec![FaultEvent {
             epoch: crash_epoch,
@@ -59,8 +63,6 @@ pub fn table_resil(quick: bool) -> Experiment {
     );
     let reference = run_resilient(&healthy).expect("healthy run");
     let recovered = run_resilient(&faulted).expect("faulted run");
-    std::fs::remove_dir_all(&healthy.dir).ok();
-    std::fs::remove_dir_all(&faulted.dir).ok();
     assert_eq!(
         recovered.final_hash, reference.final_hash,
         "resumed run is not bit-identical to the uninterrupted run"

@@ -203,6 +203,8 @@ struct SimReplica {
     busy_in_interval_s: f64,
     /// Power schedule accumulated over the run.
     phases: Vec<PowerPhase>,
+    /// Completions of the current tick, merged in replica order.
+    done: Vec<Done>,
 }
 
 impl SimReplica {
@@ -230,6 +232,7 @@ impl SimReplica {
             drain_started_s: 0.0,
             busy_in_interval_s: 0.0,
             phases,
+            done: Vec::new(),
         }
     }
 }
@@ -247,12 +250,12 @@ struct Done {
     latency_s: f64,
 }
 
-/// Advance one replica's batch server to `tick_end`. Pure in the replica's
-/// own state — the parallel-over-replicas call cannot change its result.
-fn advance_replica(r: &mut SimReplica, tick_end: f64, service: &ServiceModel) -> Vec<Done> {
-    let mut out = Vec::new();
+/// Advance one replica's batch server to `tick_end`, appending its
+/// completions to `r.done`. Pure in the replica's own state — the
+/// parallel-over-replicas call cannot change its result.
+fn advance_replica(r: &mut SimReplica, tick_end: f64, service: &ServiceModel) {
     if r.state == ReplicaState::Offline {
-        return out;
+        return;
     }
     while let Some(front) = r.queue.front() {
         let start = r.free_at_s.max(front.arrival_s);
@@ -278,31 +281,13 @@ fn advance_replica(r: &mut SimReplica, tick_end: f64, service: &ServiceModel) ->
         let done = start + dur;
         r.busy_in_interval_s += dur;
         for q in &batch[..rows] {
-            out.push(Done {
+            r.done.push(Done {
                 index: q.index,
                 done_s: done,
                 latency_s: done - q.arrival_s,
             });
         }
         r.free_at_s = done;
-    }
-    out
-}
-
-/// Base pointer smuggled as `usize` for disjoint per-replica writes from
-/// the parallel advance (same idiom as `parx`'s internal `SendSlice`).
-struct SendPtr<T>(usize, std::marker::PhantomData<T>);
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    fn new(p: *mut T) -> Self {
-        SendPtr(p as usize, std::marker::PhantomData)
-    }
-
-    /// Pointer to element `i`. Dereferencing is sound only while the
-    /// backing allocation lives and indices stay disjoint across threads.
-    fn at(&self, i: usize) -> *mut T {
-        unsafe { (self.0 as *mut T).add(i) }
     }
 }
 
@@ -328,7 +313,6 @@ struct SimState {
     /// Largest instantaneous backlog seen since the last control tick.
     queued_peak: usize,
     profiler: PhaseProfiler,
-    done_scratch: Vec<Vec<Done>>,
 }
 
 impl SimState {
@@ -377,7 +361,6 @@ impl SimState {
             peak_replicas: initial,
             queued_peak: 0,
             profiler: PhaseProfiler::new(),
-            done_scratch: Vec::new(),
         }
     }
 
@@ -465,35 +448,16 @@ impl SimState {
 
     /// Parallel per-replica advance; completions merged in replica order.
     fn advance_all(&mut self, tick_end: f64) {
-        let n = self.replicas.len();
-        let threads = self.config.threads;
-        self.done_scratch.clear();
-        self.done_scratch.resize_with(n, Vec::new);
         let service = self.config.service;
-        if threads == 1 || n == 1 {
-            for (r, out) in self.replicas.iter_mut().zip(self.done_scratch.iter_mut()) {
-                *out = advance_replica(r, tick_end, &service);
-            }
-        } else {
-            let reps = SendPtr::new(self.replicas.as_mut_ptr());
-            let outs = SendPtr::new(self.done_scratch.as_mut_ptr());
-            parx::parallel_for_grained(n, threads, 1, |chunk| {
-                for i in chunk.start..chunk.end {
-                    // SAFETY: chunks are disjoint, so each replica and its
-                    // output slot are touched by exactly one thread; both
-                    // vectors outlive the scoped join inside parx.
-                    unsafe {
-                        *outs.at(i) = advance_replica(&mut *reps.at(i), tick_end, &service);
-                    }
-                }
-            });
-        }
+        parx::parallel_chunks_mut(&mut self.replicas, 1, self.config.threads, |_, r| {
+            advance_replica(&mut r[0], tick_end, &service);
+        });
         // Merge in replica order. Histogram contents are additive, so the
         // record order cannot change them; iterating in a fixed order
         // keeps the loop itself deterministic too.
-        let mut done_scratch = std::mem::take(&mut self.done_scratch);
-        for dones in &done_scratch {
-            for d in dones {
+        let mut replicas = std::mem::take(&mut self.replicas);
+        for r in &mut replicas {
+            for d in r.done.drain(..) {
                 self.windowed.record(d.done_s, d.latency_s);
                 self.cumulative.record(d.latency_s);
                 self.completed += 1;
@@ -503,8 +467,7 @@ impl SimState {
                 self.stamp_outcome(d.index, SERVED, d.latency_s.to_bits());
             }
         }
-        done_scratch.clear();
-        self.done_scratch = done_scratch;
+        self.replicas = replicas;
         // Draining replicas with empty queues finish their drain.
         for r in &mut self.replicas {
             if r.state == ReplicaState::Draining && r.queue.is_empty() && r.free_at_s <= tick_end {

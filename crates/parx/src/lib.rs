@@ -8,9 +8,16 @@
 //!   ranges, built directly on `std::thread::scope`, with work split into
 //!   contiguous chunks (one per thread) so cache behaviour matches what an
 //!   HPC programmer would hand-write;
+//! * [`parallel_chunks_mut`] — the same fork–join over disjoint `&mut`
+//!   chunks of one buffer, split safely with `split_at_mut`;
 //! * [`WorkerPool`] — a persistent pool with crossbeam channels for
 //!   fire-and-forget tasks plus a `join` barrier, used where thread spawn
-//!   cost would otherwise dominate (per-batch-step parallelism).
+//!   cost would otherwise dominate (per-batch-step parallelism);
+//! * [`Lookahead`] — an ordered iterator that computes the next results
+//!   on a `WorkerPool` while the consumer works on the current one (the
+//!   shard prefetcher and the dataset service's batch streams);
+//! * [`TempDir`] — a uniquely named scratch directory removed on drop,
+//!   so concurrently running tests never share one.
 //!
 //! The design follows the "chunked parallel iterator" shape of rayon (see
 //! the workspace coding guides) but is implemented in-tree: the reproduction
@@ -18,12 +25,18 @@
 //! bitwise reproducible for a fixed thread count.
 
 mod chunk;
+mod lookahead;
 mod pool;
 mod scope;
+mod tempdir;
 
 pub use chunk::{chunk_ranges, Chunk};
+pub use lookahead::{Lookahead, LookaheadStats, LOOKAHEAD_WINDOW};
 pub use pool::WorkerPool;
-pub use scope::{parallel_for, parallel_for_grained, parallel_map, parallel_reduce};
+pub use scope::{
+    parallel_chunks_mut, parallel_for, parallel_for_grained, parallel_map, parallel_reduce,
+};
+pub use tempdir::TempDir;
 
 /// Returns the degree of parallelism used by default: the number of
 /// available hardware threads, with a floor of one.

@@ -33,23 +33,7 @@ where
         }
         return;
     }
-    std::thread::scope(|scope| {
-        // First chunk runs on the calling thread; the rest are spawned.
-        let (first, rest) = chunks.split_first().expect("nonempty by construction");
-        let handles: Vec<_> = rest
-            .iter()
-            .map(|&c| {
-                scope.spawn({
-                    let body = &body;
-                    move || body(c)
-                })
-            })
-            .collect();
-        body(*first);
-        for h in handles {
-            h.join().expect("parallel_for worker panicked");
-        }
-    });
+    fork_join(chunks, body);
 }
 
 /// Like [`parallel_for`], but with an explicit grain: the thread count is
@@ -81,21 +65,52 @@ where
         });
         return;
     }
-    let chunks = chunk_ranges(n, t);
-    std::thread::scope(|scope| {
-        let (first, rest) = chunks.split_first().expect("nonempty by construction");
-        let handles: Vec<_> = rest
-            .iter()
-            .map(|&c| {
-                scope.spawn({
-                    let body = &body;
-                    move || body(c)
-                })
-            })
-            .collect();
-        body(*first);
-        for h in handles {
-            h.join().expect("parallel_for_grained worker panicked");
+    fork_join(chunk_ranges(n, t), body);
+}
+
+/// Runs `body(i, chunk)` for every `chunk_len`-element chunk of `data`
+/// (the last may be shorter), in parallel across up to `threads` scoped
+/// threads. Chunk `i` starts at `data[i * chunk_len]`.
+///
+/// Threads take contiguous runs of chunks on the [`chunk_ranges`]
+/// partition of the chunk count — the same split as
+/// [`parallel_for_grained`] with grain 1 — and each thread receives its
+/// run as its own `&mut` sub-slice (`split_at_mut`), so disjoint writes
+/// need no raw pointers. One thread or one chunk runs inline without heap
+/// allocation.
+///
+/// # Panics
+/// Panics if `threads == 0` or `chunk_len == 0` for non-empty `data`.
+pub fn parallel_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, threads: usize, body: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    if data.is_empty() {
+        return;
+    }
+    assert!(threads > 0, "parallel_chunks_mut: threads must be positive");
+    assert!(chunk_len > 0, "parallel_chunks_mut: chunk_len must be positive");
+    let n = data.len().div_ceil(chunk_len);
+    if threads == 1 || n == 1 {
+        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
+            body(i, chunk);
+        }
+        return;
+    }
+    let mut rest = data;
+    let runs: Vec<(usize, &mut [T])> = chunk_ranges(n, threads)
+        .into_iter()
+        .map(|c| {
+            let len = (c.len() * chunk_len).min(rest.len());
+            let (run, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = tail;
+            (c.start, run)
+        })
+        .collect();
+    fork_join(runs, |(first, run)| {
+        for (j, chunk) in run.chunks_mut(chunk_len).enumerate() {
+            body(first + j, chunk);
         }
     });
 }
@@ -106,28 +121,39 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    assert!(threads > 0, "parallel_map: threads must be positive");
+    let threads = if n < threads * MIN_ITEMS_PER_THREAD {
+        1
+    } else {
+        threads
+    };
     let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    {
-        let slots = SendSlice(out.as_mut_ptr() as usize, std::marker::PhantomData::<T>);
-        parallel_for(n, threads, |chunk| {
-            for i in chunk.start..chunk.end {
-                // SAFETY: chunks are disjoint, so each index is written by
-                // exactly one thread; the Vec outlives the scope.
-                unsafe {
-                    let base = slots.0 as *mut Option<T>;
-                    *base.add(i) = Some(f(i));
-                }
-            }
-        });
-    }
+    parallel_chunks_mut(&mut out, 1, threads, |i, slot| slot[0] = Some(f(i)));
     out.into_iter()
         .map(|x| x.expect("parallel_map: every index filled"))
         .collect()
 }
 
-/// Wrapper making a raw base pointer `Sync` for disjoint-index writes.
-struct SendSlice<T>(usize, std::marker::PhantomData<T>);
-unsafe impl<T> Sync for SendSlice<T> {}
+/// Runs `body` on every item: the first on the calling thread, the rest
+/// on scoped threads, joining all before returning.
+fn fork_join<I, F>(items: Vec<I>, body: F)
+where
+    I: Send,
+    F: Fn(I) + Sync,
+{
+    std::thread::scope(|scope| {
+        let mut items = items.into_iter();
+        let first = items.next();
+        let body = &body;
+        let handles: Vec<_> = items.map(|item| scope.spawn(move || body(item))).collect();
+        if let Some(item) = first {
+            body(item);
+        }
+        for h in handles {
+            h.join().expect("parx worker panicked");
+        }
+    });
+}
 
 /// Reduces `0..n` in parallel: each chunk folds locally with `fold`, then
 /// the per-chunk partials are combined **in chunk order** with `combine`.
@@ -222,6 +248,44 @@ mod tests {
             assert_eq!((chunk.start, chunk.end), (0, 100));
         });
         assert_eq!(calls.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn parallel_chunks_mut_matches_sequential_chunks() {
+        for (len, chunk_len, threads) in [(10_000, 7, 8), (100, 64, 4), (5, 1, 16), (9, 3, 1), (1, 4, 3)] {
+            let mut data = vec![0usize; len];
+            parallel_chunks_mut(&mut data, chunk_len, threads, |i, chunk| {
+                assert!(chunk.len() == chunk_len || (i + 1) * chunk_len >= len);
+                for (j, v) in chunk.iter_mut().enumerate() {
+                    *v += i * chunk_len + j + 1;
+                }
+            });
+            let expect: Vec<usize> = (1..=len).collect();
+            assert_eq!(data, expect, "len={len} chunk_len={chunk_len} threads={threads}");
+        }
+    }
+
+    #[test]
+    fn parallel_chunks_mut_gives_each_thread_one_chunk_range_run() {
+        // 13 chunks on 4 threads: the chunk_ranges runs 0..4, 4..7, 7..10
+        // and 10..13, each on its own thread.
+        let mut owner = vec![None; 13];
+        parallel_chunks_mut(&mut owner, 1, 4, |_, slot| {
+            slot[0] = Some(std::thread::current().id());
+        });
+        for c in chunk_ranges(13, 4) {
+            let run = &owner[c.start..c.end];
+            assert!(run.iter().all(|t| t.is_some() && *t == run[0]), "{c:?}");
+        }
+        let firsts: std::collections::HashSet<_> =
+            chunk_ranges(13, 4).iter().map(|c| owner[c.start]).collect();
+        assert_eq!(firsts.len(), 4, "every run on a distinct thread");
+    }
+
+    #[test]
+    fn parallel_chunks_mut_empty_data_is_noop() {
+        let mut data: Vec<u8> = Vec::new();
+        parallel_chunks_mut(&mut data, 0, 4, |_, _| panic!("must not be called"));
     }
 
     #[test]

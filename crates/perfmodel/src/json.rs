@@ -94,6 +94,7 @@ impl std::error::Error for ParseError {}
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -107,6 +108,7 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -254,11 +256,12 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let ch = s.chars().next().unwrap();
+                    // Consume one UTF-8 scalar of the input text.
+                    let ch = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("string splits a UTF-8 character"))?;
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -296,24 +299,10 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Escapes a string for embedding in JSON output (used by the writers
-/// that share this schema).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use collectives::escape_json as escape;
 
     #[test]
     fn parses_nested_document() {

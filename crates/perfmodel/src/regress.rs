@@ -16,7 +16,7 @@
 
 use crate::fit::{fit, FitError, FittedModel, SamplePoint};
 use crate::ingest::{flatten, BenchDoc, MetricSeries};
-use crate::json::escape;
+use collectives::escape_json as escape;
 
 /// One point the fitted law could not predict.
 #[derive(Debug, Clone, PartialEq)]

@@ -362,10 +362,8 @@ mod tests {
         }
     }
 
-    fn tmp_dir(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("resil_ckpt_{name}_{}", std::process::id()));
-        std::fs::remove_dir_all(&d).ok();
-        d
+    fn tmp_dir(name: &str) -> parx::TempDir {
+        parx::TempDir::new(&format!("resil_ckpt_{name}")).unwrap()
     }
 
     #[test]
@@ -440,7 +438,6 @@ mod tests {
         let latest = mgr.latest().unwrap().expect("checkpoints exist");
         assert_eq!(latest.epoch, 6);
         assert_eq!(latest, state(6));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -462,7 +459,6 @@ mod tests {
         b[0] ^= 0xFF;
         std::fs::write(&older, &b).unwrap();
         assert!(mgr.latest().unwrap().is_none());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -480,6 +476,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one")]
     fn zero_retention_panics() {
-        let _ = CheckpointManager::new(tmp_dir("zero"), 0);
+        let _ = CheckpointManager::new(&tmp_dir("zero"), 0);
     }
 }

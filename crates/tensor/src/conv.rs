@@ -45,35 +45,12 @@ pub fn pool1d_output_len(steps: usize, pool: usize) -> Option<usize> {
     Some(steps / pool)
 }
 
-/// Runs `body` over `0..n` with at most `threads` workers, using the
-/// allocation-free sequential path when one thread suffices. `body` must
-/// produce partition-independent results (disjoint writes only).
-fn run_chunks(n: usize, threads: usize, body: impl Fn(parx::Chunk) + Sync) {
-    if n == 0 {
-        return;
-    }
-    if threads <= 1 {
-        body(parx::Chunk {
-            index: 0,
-            start: 0,
-            end: n,
-        });
-    } else {
-        parx::parallel_for_grained(n, threads, 1, body);
-    }
-}
-
 /// Thread budget for `total_elems` of light (copy/scatter) work.
 fn copy_threads(n_items: usize, total_elems: usize) -> usize {
     kernel_threads()
         .min((total_elems / MIN_ELEMS_PER_THREAD).max(1))
         .min(n_items.max(1))
 }
-
-/// Shares a mutable base pointer across scoped threads for disjoint
-/// writes.
-struct RawBase(usize);
-unsafe impl Sync for RawBase {}
 
 /// Expands `input (batch, steps, in_ch)` into the im2col matrix
 /// `(batch*out_steps, kernel*in_ch)` stored in `col`. Row `b*out_steps+t`
@@ -93,23 +70,13 @@ fn im2col(
 ) {
     let kcols = kernel * in_ch;
     debug_assert_eq!(col.len(), batch * out_steps * kcols);
-    let base = RawBase(col.as_mut_ptr() as usize);
     let t = copy_threads(batch, batch * out_steps * kcols);
-    run_chunks(batch, t, |chunk| {
-        for b in chunk.start..chunk.end {
-            // SAFETY: batches are disjoint across chunks.
-            let rows = unsafe {
-                std::slice::from_raw_parts_mut(
-                    (base.0 as *mut f32).add(b * out_steps * kcols),
-                    out_steps * kcols,
-                )
-            };
-            let ibatch = &input[b * steps * in_ch..(b + 1) * steps * in_ch];
-            for (t, row) in rows.chunks_exact_mut(kcols).enumerate() {
-                for k in 0..kernel {
-                    let src = &ibatch[(t * stride + k) * in_ch..(t * stride + k + 1) * in_ch];
-                    row[k * in_ch..(k + 1) * in_ch].copy_from_slice(src);
-                }
+    parx::parallel_chunks_mut(col, out_steps * kcols, t, |b, rows| {
+        let ibatch = &input[b * steps * in_ch..(b + 1) * steps * in_ch];
+        for (t, row) in rows.chunks_exact_mut(kcols).enumerate() {
+            for k in 0..kernel {
+                let src = &ibatch[(t * stride + k) * in_ch..(t * stride + k + 1) * in_ch];
+                row[k * in_ch..(k + 1) * in_ch].copy_from_slice(src);
             }
         }
     });
@@ -245,32 +212,19 @@ pub fn conv1d_backward_ws(
         ws,
     );
     let mut grad_input = ws.alloc([batch, steps, in_ch]);
-    {
-        let base = RawBase(grad_input.data_mut().as_mut_ptr() as usize);
-        let t = copy_threads(batch, m * k);
-        run_chunks(batch, t, |chunk| {
-            for b in chunk.start..chunk.end {
-                // SAFETY: batches are disjoint across chunks.
-                let gibatch = unsafe {
-                    std::slice::from_raw_parts_mut(
-                        (base.0 as *mut f32).add(b * steps * in_ch),
-                        steps * in_ch,
-                    )
-                };
-                for t in 0..out_steps {
-                    let row = &colgrad[(b * out_steps + t) * k..(b * out_steps + t + 1) * k];
-                    for kk in 0..kernel {
-                        let dst = &mut gibatch
-                            [(t * stride + kk) * in_ch..(t * stride + kk + 1) * in_ch];
-                        let src = &row[kk * in_ch..(kk + 1) * in_ch];
-                        for (d, &s) in dst.iter_mut().zip(src) {
-                            *d += s;
-                        }
-                    }
+    let t = copy_threads(batch, m * k);
+    parx::parallel_chunks_mut(grad_input.data_mut(), steps * in_ch, t, |b, gibatch| {
+        for t in 0..out_steps {
+            let row = &colgrad[(b * out_steps + t) * k..(b * out_steps + t + 1) * k];
+            for kk in 0..kernel {
+                let dst = &mut gibatch[(t * stride + kk) * in_ch..(t * stride + kk + 1) * in_ch];
+                let src = &row[kk * in_ch..(kk + 1) * in_ch];
+                for (d, &s) in dst.iter_mut().zip(src) {
+                    *d += s;
                 }
             }
-        });
-    }
+        }
+    });
     ws.colgrad = colgrad;
 
     // Weight gradient: im2colᵀ · grad_out in fixed-size row blocks.
@@ -289,38 +243,25 @@ pub fn conv1d_backward_ws(
     let nblocks = m.div_ceil(WGRAD_BLOCK_ROWS);
     let mut partials = std::mem::take(&mut ws.partials);
     partials.resize(nblocks * k * out_ch, 0.0);
-    {
-        let base = RawBase(partials.as_mut_ptr() as usize);
-        let flops = 2usize.saturating_mul(m).saturating_mul(k).saturating_mul(out_ch);
-        let t = kernel_threads()
-            .min((flops / (2 * MIN_ELEMS_PER_THREAD)).max(1))
-            .min(nblocks);
-        run_chunks(nblocks, t, |chunk| {
-            for blk in chunk.start..chunk.end {
-                let r0 = blk * WGRAD_BLOCK_ROWS;
-                let r1 = (r0 + WGRAD_BLOCK_ROWS).min(m);
-                // SAFETY: each block's partial slab is written by exactly
-                // one chunk.
-                let part = unsafe {
-                    std::slice::from_raw_parts_mut(
-                        (base.0 as *mut f32).add(blk * k * out_ch),
-                        k * out_ch,
-                    )
-                };
-                part.fill(0.0);
-                for r in r0..r1 {
-                    let crow = &col[r * k..(r + 1) * k];
-                    let grow = &gd[r * out_ch..(r + 1) * out_ch];
-                    for (kk, &cv) in crow.iter().enumerate() {
-                        let dst = &mut part[kk * out_ch..(kk + 1) * out_ch];
-                        for (d, &g) in dst.iter_mut().zip(grow) {
-                            *d += cv * g;
-                        }
-                    }
+    let flops = 2usize.saturating_mul(m).saturating_mul(k).saturating_mul(out_ch);
+    let t = kernel_threads()
+        .min((flops / (2 * MIN_ELEMS_PER_THREAD)).max(1))
+        .min(nblocks);
+    parx::parallel_chunks_mut(&mut partials, k * out_ch, t, |blk, part| {
+        let r0 = blk * WGRAD_BLOCK_ROWS;
+        let r1 = (r0 + WGRAD_BLOCK_ROWS).min(m);
+        part.fill(0.0);
+        for r in r0..r1 {
+            let crow = &col[r * k..(r + 1) * k];
+            let grow = &gd[r * out_ch..(r + 1) * out_ch];
+            for (kk, &cv) in crow.iter().enumerate() {
+                let dst = &mut part[kk * out_ch..(kk + 1) * out_ch];
+                for (d, &g) in dst.iter_mut().zip(grow) {
+                    *d += cv * g;
                 }
             }
-        });
-    }
+        }
+    });
     ws.im2col = col;
     // Combine partials in ascending block order — fixed regardless of how
     // blocks were assigned to threads.

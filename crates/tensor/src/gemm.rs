@@ -288,7 +288,6 @@ pub fn gemm_slice(
         .saturating_mul(k)
         .saturating_mul(n);
     let t = threads.min((flops / MIN_FLOPS_PER_THREAD).max(1));
-    let npanels = m.div_ceil(MR);
     let mut bpack = std::mem::take(&mut ws.pack_b);
 
     for jc in (0..n).step_by(NC) {
@@ -302,40 +301,29 @@ pub fn gemm_slice(
             pack_b(mode, b, k, n, pc, kc, jc, nc, &mut bpack);
             let first = pci == 0;
             let last = pc + kc == k;
-            let cbase = RawBase(c.as_mut_ptr() as usize);
-            let run = |chunk: parx::Chunk| {
-                for panel in chunk.start..chunk.end {
-                    let i0 = panel * MR;
-                    let job = PanelJob {
-                        mode,
-                        a,
-                        m,
-                        k,
-                        n,
-                        i0,
-                        mr: MR.min(m - i0),
-                        pc,
-                        kc,
-                        jc,
-                        nc,
-                        bpack: &bpack,
-                        cbase: cbase.0,
-                        first,
-                        last,
-                    };
-                    run_row_panel(job, epilogue);
-                }
-            };
-            if t == 1 {
-                // Allocation-free sequential fast path.
-                run(parx::Chunk {
-                    index: 0,
-                    start: 0,
-                    end: npanels,
-                });
-            } else {
-                parx::parallel_for_grained(npanels, t, 1, run);
-            }
+            let bpack = &bpack;
+            // Rows `i0..i0 + MR` of C are contiguous, so each row panel
+            // is its own `MR * n` chunk of `c`.
+            parx::parallel_chunks_mut(c, MR * n, t, |panel, cpanel| {
+                let i0 = panel * MR;
+                let job = PanelJob {
+                    mode,
+                    a,
+                    m,
+                    k,
+                    n,
+                    i0,
+                    mr: MR.min(m - i0),
+                    pc,
+                    kc,
+                    jc,
+                    nc,
+                    bpack,
+                    first,
+                    last,
+                };
+                run_row_panel(job, cpanel, epilogue);
+            });
         }
     }
     ws.pack_b = bpack;
@@ -410,17 +398,13 @@ struct PanelJob<'a> {
     jc: usize,
     nc: usize,
     bpack: &'a [f32],
-    cbase: usize,
     first: bool,
     last: bool,
 }
 
-/// Shares a mutable base pointer across scoped threads for disjoint-row
-/// writes.
-struct RawBase(usize);
-unsafe impl Sync for RawBase {}
-
-fn run_row_panel(job: PanelJob, epilogue: &Epilogue) {
+/// Computes one row panel of the current block into `c`, the panel's
+/// rows `i0..i0 + mr` of C.
+fn run_row_panel(job: PanelJob, c: &mut [f32], epilogue: &Epilogue) {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
@@ -428,17 +412,17 @@ fn run_row_panel(job: PanelJob, epilogue: &Epilogue) {
             // executes the same scalar operations in the same order (no
             // FMA contraction, one accumulator per element), so its
             // results are bit-identical to the generic path.
-            unsafe { row_panel_avx2(job, epilogue) };
+            unsafe { row_panel_avx2(job, c, epilogue) };
             return;
         }
     }
-    row_panel(job, epilogue, false);
+    row_panel(job, c, epilogue, false);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn row_panel_avx2(job: PanelJob, epilogue: &Epilogue) {
-    row_panel(job, epilogue, true);
+unsafe fn row_panel_avx2(job: PanelJob, c: &mut [f32], epilogue: &Epilogue) {
+    row_panel(job, c, epilogue, true);
 }
 
 /// Packs the panel's A rows, then drives the micro-kernel across every
@@ -450,7 +434,7 @@ unsafe fn row_panel_avx2(job: PanelJob, epilogue: &Epilogue) {
 /// add per element in the identical order, so the choice never changes a
 /// single output bit.
 #[inline(always)]
-fn row_panel(job: PanelJob, epilogue: &Epilogue, avx2: bool) {
+fn row_panel(job: PanelJob, c: &mut [f32], epilogue: &Epilogue, avx2: bool) {
     let mut apack = [0.0f32; MR * KC];
     pack_a(
         job.mode, job.a, job.m, job.k, job.i0, job.mr, job.pc, job.kc, &mut apack,
@@ -459,45 +443,49 @@ fn row_panel(job: PanelJob, epilogue: &Epilogue, avx2: bool) {
     for s in 0..nstrips {
         let j0 = job.jc + s * NR;
         let nr = NR.min(job.nc - s * NR);
-        let cptr = (job.cbase as *mut f32).wrapping_add(job.i0 * job.n + j0);
-        // SAFETY: the (panel, strip) tile `[i0..i0+mr) × [j0..j0+nr)` is
-        // written by exactly one thread (threads split whole panels), and
-        // `cbase` points at an `m*n` allocation that outlives the scope.
+        // The (panel, strip) tile: rows 0..mr of `c` at stride n, columns
+        // j0..j0 + nr.
+        let tile = &mut c[j0..];
+        // Every row's nr-wide load and store stays inside `tile`.
+        assert!(tile.len() >= (job.mr - 1) * job.n + nr);
+        let bstrip = &job.bpack[s * KC * NR..];
+        #[cfg(target_arch = "x86_64")]
+        let full = avx2 && nr == NR;
+        #[cfg(not(target_arch = "x86_64"))]
+        let full = {
+            let _ = avx2;
+            false
+        };
+        // SAFETY: the assert above bounds both micro-kernels' accesses, and
+        // the caller verified AVX2 support before passing `avx2`.
         unsafe {
-            #[cfg(target_arch = "x86_64")]
-            let full = avx2 && nr == NR;
             #[cfg(target_arch = "x86_64")]
             if full {
                 micro_tile_avx2(
                     job.kc,
                     &apack,
-                    &job.bpack[s * KC * NR..],
-                    cptr,
+                    bstrip,
+                    tile.as_mut_ptr(),
                     job.n,
                     job.mr,
                     job.first,
                 );
             }
-            #[cfg(not(target_arch = "x86_64"))]
-            let full = {
-                let _ = avx2;
-                false
-            };
             if !full {
                 micro_tile(
                     job.kc,
                     &apack,
-                    &job.bpack[s * KC * NR..],
-                    cptr,
+                    bstrip,
+                    tile.as_mut_ptr(),
                     job.n,
                     job.mr,
                     nr,
                     job.first,
                 );
             }
-            if job.last && !epilogue.is_noop() {
-                apply_epilogue(cptr, job.n, job.mr, nr, j0, epilogue);
-            }
+        }
+        if job.last && !epilogue.is_noop() {
+            apply_epilogue(tile, job.n, job.mr, nr, j0, epilogue);
         }
     }
 }
@@ -611,17 +599,9 @@ unsafe fn micro_tile(
 
 /// Applies `C = act(C + bias)` to one stored tile.
 #[inline(always)]
-unsafe fn apply_epilogue(
-    c: *mut f32,
-    ldc: usize,
-    mr: usize,
-    nr: usize,
-    j0: usize,
-    epilogue: &Epilogue,
-) {
+fn apply_epilogue(c: &mut [f32], ldc: usize, mr: usize, nr: usize, j0: usize, epilogue: &Epilogue) {
     for r in 0..mr {
-        // SAFETY: same tile ownership as the caller.
-        let row = std::slice::from_raw_parts_mut(c.add(r * ldc), nr);
+        let row = &mut c[r * ldc..r * ldc + nr];
         if let Some(bias) = epilogue.bias {
             for (v, &bv) in row.iter_mut().zip(&bias[j0..j0 + nr]) {
                 *v += bv;
